@@ -14,10 +14,9 @@ to ``BENCH_detection.json`` (override with ``BENCH_DETECTION_JSON``):
    pure counter arithmetic, batched over whatever the socket drained.
 
 A third test pins behaviour rather than speed: the acceptance-scale
-live scenario (200 benign + 20 bots) reaches the same quarantine with
-the sketch-backed saturation monitor as with the exact one — same
-shuffle count, benign clean fraction >= 0.95 — so the fixed-memory
-detector is a verdict-preserving drop-in, not a different defense.
+live scenario (200 benign + 20 bots) on the sketch-backed saturation
+monitor every backend runs reaches quarantine within the shuffle
+budget, keeps benign clean fraction >= 0.95, and names all 20 bots.
 
 Wall-clock rates are host-dependent; the asserted bounds (flat bytes,
 5x ratio) are deliberately coarse so they hold on any CI host.
@@ -194,10 +193,8 @@ def test_detection_throughput(benchmark, show):
     show("\n".join(lines))
 
 
-def _scenario(detector: str):
-    service_config = ServiceConfig(
-        n_replicas=10, seed=7, telemetry_port=None, detector=detector
-    )
+def _scenario():
+    service_config = ServiceConfig(n_replicas=10, seed=7, telemetry_port=None)
     load_config = LoadConfig(n_benign=200, n_bots=20, seed=11)
     return run_scenario_sync(
         service_config, load_config,
@@ -205,50 +202,40 @@ def _scenario(detector: str):
     )
 
 
-def test_sketch_monitor_verdict_equivalence(benchmark, show):
-    """The sketch monitor reproduces the exact monitor's defense run.
+def test_sketch_monitor_acceptance_verdict(benchmark, show):
+    """The sketch-backed defense holds the acceptance verdict.
 
-    Acceptance scenario, both detector modes: same quarantine, same
-    shuffle count, benign clean fraction >= 0.95 in both.
+    Acceptance scenario on the sketch detector every backend runs:
+    quarantine within the shuffle budget, benign clean fraction >= 0.95,
+    and the heavy-hitter reports name all 20 bots.
     """
-    exact = _scenario("exact")
-    sketch = benchmark.pedantic(
-        _scenario, args=("sketch",), rounds=1, iterations=1
-    )
+    sketch = benchmark.pedantic(_scenario, rounds=1, iterations=1)
+    suspects = set(sketch.snapshot.get("suspected_bots", []))
 
-    assert exact.quarantined and sketch.quarantined
-    assert exact.shuffles_completed == sketch.shuffles_completed
-    assert exact.benign_clean_fraction >= 0.95
+    assert sketch.quarantined
+    assert not sketch.budget_exhausted
+    assert sketch.shuffles_completed <= sketch.budget
     assert sketch.benign_clean_fraction >= 0.95
+    assert {f"bot-{i:03d}" for i in range(20)} <= suspects
 
     _write_payload("scenario_equivalence", {
         "n_benign": 200,
         "n_bots": 20,
         "n_replicas": 10,
-        "exact": {
-            "shuffles": exact.shuffles_completed,
-            "clean_fraction": round(exact.benign_clean_fraction, 4),
-            "duration_s": round(exact.duration, 2),
-        },
         "sketch": {
             "shuffles": sketch.shuffles_completed,
             "clean_fraction": round(sketch.benign_clean_fraction, 4),
             "duration_s": round(sketch.duration, 2),
-            "suspected_bots": len(
-                sketch.snapshot.get("suspected_bots", [])
-            ),
+            "suspected_bots": len(suspects),
         },
     })
 
     show(
-        "Verdict equivalence — 200 benign + 20 bots on 10 replicas\n"
-        "  exact:  {es} shuffles, clean {ec:.3f}\n"
+        "Acceptance verdict — 200 benign + 20 bots on 10 replicas\n"
         "  sketch: {ss} shuffles, clean {sc:.3f} "
         "({susp} suspects named)".format(
-            es=exact.shuffles_completed,
-            ec=exact.benign_clean_fraction,
             ss=sketch.shuffles_completed,
             sc=sketch.benign_clean_fraction,
-            susp=len(sketch.snapshot.get("suspected_bots", [])),
+            susp=len(suspects),
         )
     )

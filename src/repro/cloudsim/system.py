@@ -125,7 +125,7 @@ class CloudContext:
 
     def attach_tracer(self, tracer) -> None:
         """Enable structured event tracing (a :class:`repro.obs.
-        EventLog`, or the deprecated ``cloudsim.trace.Tracer``)."""
+        EventLog`)."""
         self.tracer = tracer
 
     def attach_instruments(

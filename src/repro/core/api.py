@@ -10,10 +10,7 @@ request dataclasses:
     plan(PlanRequest(...))         -> ShufflePlan
 
 with uniform keywords across methods (``method=``, ``log_prior=``,
-``instruments=``).  The old entry points survive as thin
-``DeprecationWarning`` shims that forward through this seam (the
-``cloudsim/trace.py`` precedent); first-party code must not use them —
-the test suite promotes repro-originated deprecation warnings to errors.
+``instruments=``).
 
 Dispatch is deliberately thin: each method maps onto exactly one
 vectorized kernel (``repro.core.estimator`` / the planner modules), so
@@ -22,7 +19,7 @@ behaviour is bit-identical to calling the kernel directly.  ``method=
 weighted, otherwise uniform MLE) and the planner from the presence of a
 :class:`~repro.core.plan_cache.PlanCache` handle.
 
-See ``docs/core-api.md`` for the migration table and deprecation policy.
+See ``docs/core-api.md`` for the request fields and dispatch rules.
 """
 
 from __future__ import annotations

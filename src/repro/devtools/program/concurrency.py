@@ -39,19 +39,15 @@ __all__ = ["blocking_summaries"]
 _ASYNC_LAYERS = frozenset({"service"})
 
 #: known CPU-heavy ``repro.core`` entry points: whole-grid
-#: precomputation, the DP/greedy planners, and the estimators.  Calling
-#: one on the event loop is legitimate only with a written
-#: ``# event-loop-safe:`` justification (e.g. bounded inputs).
+#: precomputation, the ``repro.core.api`` estimator/planner dispatchers,
+#: and whole-trajectory runs.  Calling one on the event loop is
+#: legitimate only with a written ``# event-loop-safe:`` justification
+#: (e.g. bounded inputs).
 _CPU_HEAVY_CORE = frozenset(
     {
         "precompute",
-        "estimate_bots_mle",
-        "estimate_bots_moment",
-        "estimate_bots_weighted",
-        "dp_plan",
-        "dp_fast_plan",
-        "greedy_plan",
-        "even_plan",
+        "estimate",
+        "plan",
         "shuffle_trajectory",
     }
 )

@@ -4,18 +4,14 @@ The ROADMAP's scale item — plan + estimate for ``N = 10^6`` clients in
 sub-second time — requires the scalar Python accumulation loops in the
 estimator/planner core (the Algorithm 1 DP in ``dp.py``, the (max,+)
 convolution in ``dp_fast.py``, the occupancy/Poisson-binomial sweeps in
-``estimator.py``) to become numpy array ops.  This pass does not demand
-the rewrite; it *inventories* it: every scalar for-loop in ``core/``
+``estimator.py``) to be numpy array ops.  Those loops were vectorized,
+and this pass keeps it that way: every scalar for-loop in ``core/``
 that accumulates into a float/probability array is reported with its
 enclosing function, iteration expression (the loop-trip-count
-provenance), and nest depth.  The findings live in the committed
-``.reprolint-p14-baseline.json`` ratchet, which CI allows only to
-shrink — so the vectorization PR burns the inventory down to zero and
-new scalar hot loops cannot sneak into ``core/`` meanwhile.
+provenance), and nest depth, and CI fails on any finding.
 
-Messages avoid line numbers (baseline fingerprints must survive
-unrelated edits); the iteration expression + function name identify the
-loop.
+Messages avoid line numbers; the iteration expression + function name
+identify the loop.
 """
 
 from __future__ import annotations
@@ -95,10 +91,8 @@ def _subtree_depth(node: ast.AST) -> int:
     "Scalar Python accumulation loops over per-client/per-replica "
     "probability arrays cap the numeric core at thousands of clients; "
     "the ROADMAP scale item needs numpy array ops for N in the "
-    "millions.  Findings are a ratcheted inventory "
-    "(.reprolint-p14-baseline.json, may only shrink): vectorize the "
-    "loop to remove an entry, and keep new scalar hot loops out of "
-    "core/.",
+    "millions.  Vectorize the loop, and keep new scalar hot loops "
+    "out of core/.",
 )
 def check_vectorization_readiness(
     program: ProgramContext,

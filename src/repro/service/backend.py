@@ -31,7 +31,7 @@ from ..obs.instruments import Instruments
 from ..obs.metrics import Counter
 from ..trust import TrustManager
 from .config import ServiceConfig
-from .tokens import SaturationMonitor, SketchSaturationMonitor, TokenBucket
+from .tokens import SketchSaturationMonitor, TokenBucket
 
 __all__ = ["BackendStats", "ReplicaBackend"]
 
@@ -105,27 +105,18 @@ class ReplicaBackend:
         self.bucket = TokenBucket(
             rate=config.bucket_rate, burst=config.bucket_burst, clock=clock
         )
-        self.monitor: SaturationMonitor | SketchSaturationMonitor
-        if config.detector == "sketch":
-            self.monitor = SketchSaturationMonitor(
-                window=config.saturation_window,
-                overload_ratio=config.overload_ratio,
-                min_events=config.min_window_events,
-                clock=clock,
-                params=SketchParams(
-                    epsilon=config.sketch_epsilon,
-                    delta=config.sketch_delta,
-                    top_k=config.sketch_top_k,
-                ),
-                epochs=config.sketch_epochs,
-            )
-        else:
-            self.monitor = SaturationMonitor(
-                window=config.saturation_window,
-                overload_ratio=config.overload_ratio,
-                min_events=config.min_window_events,
-                clock=clock,
-            )
+        self.monitor = SketchSaturationMonitor(
+            window=config.saturation_window,
+            overload_ratio=config.overload_ratio,
+            min_events=config.min_window_events,
+            clock=clock,
+            params=SketchParams(
+                epsilon=config.sketch_epsilon,
+                delta=config.sketch_delta,
+                top_k=config.sketch_top_k,
+            ),
+            epochs=config.sketch_epochs,
+        )
         self._clock = clock
         self.whitelist: set[str] = set()
         self.stats = BackendStats()
@@ -217,15 +208,8 @@ class ReplicaBackend:
         """True when the throttle ratio shows sustained saturation."""
         return self.monitor.saturated()
 
-    def heavy_hitter_report(self) -> HeavyHitterReport | None:
-        """Windowed top-talker report, or None in exact-detector mode.
-
-        Only the sketch monitor attributes traffic to clients; the
-        coordinator's confirmation sweep treats an absent report as "no
-        auxiliary evidence" and falls back to pure saturation.
-        """
-        if not isinstance(self.monitor, SketchSaturationMonitor):
-            return None
+    def heavy_hitter_report(self) -> HeavyHitterReport:
+        """Windowed top-talker report: who is filling the bucket."""
         total, throttled = self.monitor.counts()
         return HeavyHitterReport(
             replica_id=self.replica_id,
@@ -342,11 +326,10 @@ class ReplicaBackend:
             "window_events": total,
             "window_throttled": throttled,
             "stats": self.stats.to_dict(),
+            "heavy_hitters": [
+                h.to_list() for h in self.monitor.heavy_hitters()
+            ],
         }
-        report = self.heavy_hitter_report()
-        if report is not None:
-            snap["detector"] = "sketch"
-            snap["heavy_hitters"] = [h.to_list() for h in report.top]
         if self.trust is not None:
             snap["trust_tiers"] = self.trust.tier_counts(
                 sorted(self.whitelist)

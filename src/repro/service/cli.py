@@ -61,13 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="load-generator RNG seed",
     )
     scenario.add_argument(
-        "--detector", choices=("exact", "sketch"),
-        default=ServiceConfig.detector,
-        help="saturation-monitor backend: per-event deque (exact) or "
-        "fixed-memory sketch window with heavy-hitter attribution "
-        "(default: %(default)s)",
-    )
-    scenario.add_argument(
         "--bot-profile", choices=("burst", "flood"),
         default=LoadConfig.bot_profile,
         help="bot flood shape: rate-paced pipelined bursts, or an "
@@ -168,7 +161,6 @@ def _cmd_scenario(options: argparse.Namespace) -> int:
     service_config = ServiceConfig(
         n_replicas=options.replicas, seed=options.seed,
         telemetry_port=options.telemetry_port,
-        detector=options.detector,
         trust_enabled=options.trust,
         trust_prior_strength=options.trust_prior_strength,
         state_backend=options.state_backend,

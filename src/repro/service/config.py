@@ -52,13 +52,9 @@ class ServiceConfig:
         plan_client_grid: client counts precomputed by the
             :class:`repro.core.plan_cache.PlanCache` lookup table.
         plan_bot_grid: bot counts precomputed by the plan cache.
-        detector: saturation-monitor backend — ``"exact"`` keeps the
-            per-event sliding deque; ``"sketch"`` swaps in the
-            fixed-memory :class:`repro.detect.SketchWindow`, which also
-            tracks per-client heavy hitters for the coordinator's
-            confirmation sweep.
-        sketch_epsilon: sketch additive-error budget ε (sketch mode).
-        sketch_delta: sketch failure probability δ (sketch mode).
+        sketch_epsilon: additive-error budget ε of each replica's
+            saturation sketch (:class:`repro.detect.SketchWindow`).
+        sketch_delta: sketch failure probability δ.
         sketch_top_k: heavy-hitter summary capacity per replica.
         sketch_epochs: ring cells per saturation window (temporal
             resolution of the sketch window is ``window / epochs``).
@@ -97,7 +93,6 @@ class ServiceConfig:
     shuffle_timeout: float = 10.0
     plan_client_grid: tuple[int, ...] = (25, 50, 100, 200, 400, 800)
     plan_bot_grid: tuple[int, ...] = (2, 5, 10, 20, 40, 80, 160)
-    detector: str = "exact"
     sketch_epsilon: float = 0.02
     sketch_delta: float = 0.01
     sketch_top_k: int = 8
@@ -121,8 +116,6 @@ class ServiceConfig:
             raise ValueError("detection_confirmations must be >= 0")
         if self.saturation_window <= 0:
             raise ValueError("saturation_window must be > 0")
-        if self.detector not in ("exact", "sketch"):
-            raise ValueError("detector must be 'exact' or 'sketch'")
         if not 0.0 < self.sketch_epsilon < 1.0:
             raise ValueError("sketch_epsilon must be within (0, 1)")
         if not 0.0 < self.sketch_delta < 1.0:

@@ -184,9 +184,9 @@ class ServiceCoordinator:
         self.shuffles: list[LiveShuffleRecord] = []
         self.believed_bots: int | None = None
         #: clients named by per-replica heavy-hitter reports as holding
-        #: a dominant share of a saturated window (sketch detector
-        #: only).  Its size lower-bounds the bot population and
-        #: guards the quarantine decision in :meth:`_shuffle`.
+        #: a dominant share of a saturated window.  Its size
+        #: lower-bounds the bot population and guards the quarantine
+        #: decision in :meth:`_shuffle`.
         self.suspected_bots: set[str] = set()
         self.quarantine_replicas: set[str] = set()
         self.budget_exhausted = False
@@ -543,12 +543,12 @@ class ServiceCoordinator:
     def _collect_reports(self, attacked_ids: set[str]) -> None:
         """Harvest heavy-hitter evidence from saturated replicas.
 
-        In sketch-detector mode every saturated replica can say *who*
-        filled its window.  Each report rides the obs audit trail
-        (kind ``heavy_hitters``, rendered by ``repro-obs summarize``),
-        and talkers holding a dominant guaranteed share become
-        suspects — each demonstrably sent attack-scale traffic, so
-        the set's size is a hard lower bound on the bot population.
+        Every saturated replica can say *who* filled its window.  Each
+        report rides the obs audit trail (kind ``heavy_hitters``,
+        rendered by ``repro-obs summarize``), and talkers holding a
+        dominant guaranteed share become suspects — each demonstrably
+        sent attack-scale traffic, so the set's size is a hard lower
+        bound on the bot population.
         The bound guards the quarantine decision in :meth:`_shuffle`:
         the coordinator refuses to write a subset off as all-bot
         while more bots are demonstrated than it believes exist.
@@ -572,8 +572,6 @@ class ServiceCoordinator:
                     source="service",
                 ))
             report = backend.heavy_hitter_report()
-            if report is None:  # exact detector: no attribution
-                continue
             if obs is not None:
                 obs.events.append(report.to_event(source="service"))
             self.suspected_bots.update(
@@ -793,6 +791,7 @@ class ServiceCoordinator:
         with (
             spans.span("plan") if spans is not None else nullcontext()
         ) as span:
+            # event-loop-safe: grid lookup, sub-ms greedy fallback
             plan = core_plan(
                 PlanRequest(
                     n_clients=n_clients,
@@ -894,7 +893,6 @@ class ServiceCoordinator:
             "max_shuffles": self.max_shuffles,
             "budget_exhausted": self.budget_exhausted,
             "believed_bots": self.believed_bots,
-            "detector": self.config.detector,
             "state_backend": self.config.state_backend,
             "restored": self.restored,
             "restored_shuffles": self._restored_shuffles,

@@ -14,14 +14,16 @@ signal, the observable the whole control loop feeds on:
   only benign clients (provisioned below capacity) stays near 0 — the
   separation that makes saturation a usable attack signal.
 - :class:`SketchSaturationMonitor` — the same saturation verdict from
-  fixed memory.  The exact monitor's deque grows with request rate; the
-  sketch variant keeps the window in a :class:`repro.detect.SketchWindow`
-  (epoch-rotated count-min sketches), so memory is constant in both
-  rate and client count, and as a bonus it can name the window's top
-  talkers — the per-replica heavy-hitter evidence the coordinator's
-  confirmation sweep consumes.  Verdict semantics match the exact
-  monitor (same ``overload_ratio`` / ``min_events`` thresholds) up to
-  the window's epoch granularity; the equivalence is pinned by tests.
+  fixed memory, and the detector every replica backend runs.  The exact
+  monitor's deque grows with request rate; the sketch variant keeps the
+  window in a :class:`repro.detect.SketchWindow` (epoch-rotated
+  count-min sketches), so memory is constant in both rate and client
+  count, and it can name the window's top talkers — the per-replica
+  heavy-hitter evidence the coordinator's confirmation sweep consumes.
+  Verdict semantics match the exact monitor (same ``overload_ratio`` /
+  ``min_events`` thresholds) up to the window's epoch granularity; the
+  exact monitor stays as the reference those equivalence tests compare
+  against.
 
 All take an injectable monotonic ``clock`` so unit tests can drive
 them deterministically; the service itself runs them on

@@ -1,10 +1,5 @@
-"""Tests for the structured tracing facility.
-
-``cloudsim.trace`` is now a deprecated shim over ``repro.obs``; these
-tests keep the legacy surface working verbatim, so the shim's
-DeprecationWarning is expected and silenced module-wide (the warning
-itself is asserted in ``tests/obs/test_obs_events.py``).
-"""
+"""Tests for cloudsim's structured event tracing (a ``repro.obs.EventLog``
+attached to the simulation context)."""
 
 from __future__ import annotations
 
@@ -13,14 +8,12 @@ import json
 import pytest
 
 from repro.cloudsim.system import CloudConfig, CloudDefenseSystem
-from repro.cloudsim.trace import TraceEvent, Tracer
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.obs import Event, EventLog
 
 
 class TestTracer:
     def test_emit_and_query(self):
-        tracer = Tracer()
+        tracer = EventLog()
         tracer.emit(1.0, "a", x=1)
         tracer.emit(2.0, "b", y=2)
         tracer.emit(3.0, "a", x=3)
@@ -29,14 +22,14 @@ class TestTracer:
         assert [e.kind for e in tracer.between(1.5, 3.0)] == ["b", "a"]
 
     def test_kind_filter(self):
-        tracer = Tracer(kinds=frozenset({"keep"}))
+        tracer = EventLog(kinds=frozenset({"keep"}))
         tracer.emit(0.0, "keep", n=1)
         tracer.emit(0.0, "drop", n=2)
         assert len(tracer) == 1
         assert tracer.events[0].kind == "keep"
 
     def test_capacity_drops_oldest(self):
-        tracer = Tracer(capacity=2)
+        tracer = EventLog(capacity=2)
         for index in range(5):
             tracer.emit(float(index), "tick", n=index)
         assert len(tracer) == 2
@@ -44,14 +37,14 @@ class TestTracer:
         assert [e.data["n"] for e in tracer.events] == [3, 4]
 
     def test_jsonl_export(self):
-        tracer = Tracer()
+        tracer = EventLog()
         tracer.emit(1.25, "thing", value="x")
         lines = tracer.to_jsonl().splitlines()
         record = json.loads(lines[0])
         assert record == {"time": 1.25, "kind": "thing", "value": "x"}
 
     def test_event_json_rounds_time(self):
-        event = TraceEvent(time=1.23456789, kind="k", data={})
+        event = Event(time=1.23456789, kind="k", data={})
         assert json.loads(event.to_json())["time"] == 1.234568
 
 
@@ -64,7 +57,7 @@ class TestSystemIntegration:
 
     def test_attack_produces_trace_timeline(self):
         system = CloudDefenseSystem(CloudConfig(), seed=3)
-        tracer = Tracer()
+        tracer = EventLog()
         system.ctx.attach_tracer(tracer)
         system.add_benign_clients(60)
         system.add_persistent_bots(6)
@@ -92,7 +85,7 @@ class TestSystemIntegration:
 
     def test_trace_filtering_in_system(self):
         system = CloudDefenseSystem(seed=4)
-        tracer = Tracer(kinds=frozenset({"shuffle_completed"}))
+        tracer = EventLog(kinds=frozenset({"shuffle_completed"}))
         system.ctx.attach_tracer(tracer)
         system.add_benign_clients(40)
         system.add_persistent_bots(5)
@@ -102,7 +95,7 @@ class TestSystemIntegration:
 
     def test_jsonl_of_real_run_parses(self):
         system = CloudDefenseSystem(seed=5)
-        tracer = Tracer()
+        tracer = EventLog()
         system.ctx.attach_tracer(tracer)
         system.add_benign_clients(30)
         system.add_persistent_bots(4)

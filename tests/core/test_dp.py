@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dp import dp_plan, dp_value, optimal_assign
+from repro.core import PlanRequest, api
+from repro.core.dp import dp_value, optimal_assign
 from repro.core.dp_fast import dp_fast_value
-from repro.core.greedy import greedy_plan
 from repro.core.objective import expected_saved
 
 
@@ -59,7 +59,9 @@ class TestOrderings:
         m = min(m, n)
         adaptive = dp_value(n, m, p)
         static = dp_fast_value(n, m, p)
-        greedy_value = greedy_plan(n, m, p).expected_saved
+        greedy_value = api.plan(
+            PlanRequest(n, m, p, method="greedy")
+        ).expected_saved
         assert adaptive >= static - 1e-9
         assert static >= greedy_value - 1e-9
 
@@ -96,17 +98,17 @@ class TestTables:
 
 class TestPlanExtraction:
     def test_plan_is_valid_partition(self):
-        plan = dp_plan(12, 3, 4)
+        plan = api.plan(PlanRequest(12, 3, 4, method="dp"))
         assert sum(plan.group_sizes) == 12
         assert plan.n_replicas == 4
         assert plan.algorithm == "dp"
 
     def test_plan_value_rescored_with_equation1(self):
-        plan = dp_plan(12, 3, 3)
+        plan = api.plan(PlanRequest(12, 3, 3, method="dp"))
         assert plan.expected_saved == pytest.approx(expected_saved(plan))
         # The honest static score can never exceed the static optimum.
         assert plan.expected_saved <= dp_fast_value(12, 3, 3) + 1e-9
 
     def test_plan_no_bots(self):
-        plan = dp_plan(8, 0, 2)
+        plan = api.plan(PlanRequest(8, 0, 2, method="dp"))
         assert plan.expected_saved == pytest.approx(8.0)

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dp_fast import dp_fast_plan, dp_fast_sizes, dp_fast_value
-from repro.core.even import even_plan
-from repro.core.greedy import greedy_plan
+from repro.core import PlanRequest, api
+from repro.core.dp_fast import dp_fast_sizes, dp_fast_value
 from repro.core.objective import expected_saved_sizes
 
 
@@ -71,7 +70,7 @@ class TestPlanConsistency:
     @settings(max_examples=40)
     def test_plan_value_equals_dp_value(self, n, m, p):
         m = min(m, n)
-        plan = dp_fast_plan(n, m, p)
+        plan = api.plan(PlanRequest(n, m, p, method="dp_fast"))
         assert plan.expected_saved == pytest.approx(
             dp_fast_value(n, m, p), abs=1e-9
         )
@@ -88,8 +87,12 @@ class TestDominance:
     def test_dominates_greedy_and_even(self, n, m, p):
         m = min(m, n)
         optimum = dp_fast_value(n, m, p)
-        assert optimum >= greedy_plan(n, m, p).expected_saved - 1e-9
-        assert optimum >= even_plan(n, m, p).expected_saved - 1e-9
+        assert optimum >= api.plan(
+            PlanRequest(n, m, p, method="greedy")
+        ).expected_saved - 1e-9
+        assert optimum >= api.plan(
+            PlanRequest(n, m, p, method="even")
+        ).expected_saved - 1e-9
 
     def test_p_exceeding_clients_isolates_everyone(self):
         # P >= N: every client can get an exclusive replica, so the only

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.even import even_plan, even_sizes
+from repro.core import PlanRequest, api
+from repro.core.even import even_sizes
 
 
 class TestEvenSizes:
@@ -36,18 +37,18 @@ class TestEvenSizes:
 
 class TestEvenPlan:
     def test_metadata(self):
-        plan = even_plan(100, 10, 4)
+        plan = api.plan(PlanRequest(100, 10, 4, method="even"))
         assert plan.algorithm == "even"
         assert plan.n_replicas == 4
 
     def test_collapse_when_bots_exceed_replicas(self):
         """Figure 4's phenomenon, at the closed-form level."""
-        plan = even_plan(1000, 500, 100)
+        plan = api.plan(PlanRequest(1000, 500, 100, method="even"))
         # With 5x more bots than replicas, essentially every group of 10
         # contains a bot: expected saved is a sliver of the 500 benign.
         assert plan.expected_saved < 5.0
 
     def test_competitive_when_replicas_exceed_bots(self):
-        plan = even_plan(1000, 50, 200)
+        plan = api.plan(PlanRequest(1000, 50, 200, method="even"))
         # The paper's regime where even ~ greedy: most groups stay clean.
         assert plan.expected_saved > 0.7 * 950

@@ -9,7 +9,6 @@ broken rule would otherwise let the clean-tree assertion rot).
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import subprocess
@@ -50,53 +49,31 @@ def test_src_repro_is_reprolint_clean():
     assert report.ok, "\n" + render_text(report)
 
 
-def test_src_repro_is_project_clean():
-    """The whole-program passes (P1-P14) must hold on the tree.
-
-    P14 graduated from ratchet to clean gate when the vectorized core
-    landed: the committed ``.reprolint-p14-baseline.json`` is empty, so
-    all fourteen passes must hold with nothing excused.
-    """
-    report = lint_project(
-        [SRC], baseline_path=REPO_ROOT / ".reprolint-p14-baseline.json"
-    )
-    assert report.files_checked > 50
-    assert len(report.project_rules) == 14
-    assert report.ok, "\n" + render_text(report)
-    assert not report.baselined
+@pytest.fixture(scope="module")
+def project_report():
+    """One whole-tree project-scope report, shared by the gates below
+    (building the whole-program indices dominates their cost)."""
+    return lint_project([SRC])
 
 
-def test_numeric_passes_clean_without_baseline():
-    """P11-P14 hold over the whole tree with *no* baseline: every real
-    numeric-domain finding was fixed or carries a reasoned
-    ``# domain:``/``disable=`` annotation at the site, and every hot
-    numeric loop in src/repro is vectorized."""
-    report = lint_project([SRC], select=["P11", "P12", "P13", "P14"])
-    assert report.ok, "\n" + render_text(report)
+def test_src_repro_is_project_clean(project_report):
+    """All fourteen whole-program passes (P1-P14) hold on the tree with
+    nothing excused."""
+    assert project_report.files_checked > 50
+    assert len(project_report.project_rules) == 14
+    assert project_report.ok, "\n" + render_text(project_report)
 
 
-def test_committed_baseline_holds_no_debt():
-    """The ratchet file is committed and empty: new violations cannot
-    hide behind it, and fixed ones cannot silently linger."""
-    baseline = REPO_ROOT / ".reprolint-baseline.json"
-    payload = json.loads(baseline.read_text(encoding="utf-8"))
-    assert payload["version"] == 1
-    assert payload["entries"] == []
-
-
-def test_p14_baseline_is_exactly_the_current_inventory():
-    """The committed P14 baseline is empty and the tree really is
-    loop-free: the vectorization debt was burned to zero, and a
-    regression can neither hide behind the file nor linger in it."""
-    baseline = REPO_ROOT / ".reprolint-p14-baseline.json"
-    payload = json.loads(baseline.read_text(encoding="utf-8"))
-    assert payload["version"] == 1
-    assert payload["entries"] == []
-    report = lint_project(
-        [SRC], select=["P14"], baseline_path=baseline
-    )
-    assert not report.violations, "\n" + render_text(report)
-    assert not report.stale_baseline, "\n" + render_text(report)
+def test_numeric_passes_clean_without_baseline(project_report):
+    """P11-P14 hold over the whole tree: every real numeric-domain
+    finding was fixed or carries a reasoned ``# domain:``/``disable=``
+    annotation at the site, and every hot numeric loop in src/repro is
+    vectorized."""
+    numeric = {"P11", "P12", "P13", "P14"}
+    active = {rule.rule_id for rule in project_report.project_rules}
+    assert numeric <= active
+    found = [v for v in project_report.violations if v.rule_id in numeric]
+    assert not found, "\n" + render_text(project_report)
 
 
 @pytest.mark.parametrize("rule_id", sorted(CANARIES))

@@ -699,6 +699,13 @@ SERVICE_PKG = PKG | {
 }
 
 
+#: the two ``repro.core.api`` dispatchers P6 treats as CPU-heavy
+CORE_API = (
+    "def estimate(request):\n    return request\n\n\n"
+    "def plan(request):\n    return request\n"
+)
+
+
 class TestP6AsyncBlocking:
     def test_time_sleep_in_async_service_fn(self, tmp_path):
         tree = build_tree(
@@ -742,12 +749,29 @@ class TestP6AsyncBlocking:
             tmp_path,
             SERVICE_PKG
             | {
-                "repro/core/planner.py": "def dp_plan(n):\n    return n\n",
+                "repro/core/api.py": CORE_API,
                 "repro/service/worker.py": """\
-                from repro.core.planner import dp_plan
+                from repro.core.api import estimate
 
                 async def tick():
-                    dp_plan(3)
+                    estimate(3)
+                """,
+            },
+        )
+        found = hits(tree, ["P6"])
+        assert found == ["P6 worker.py:4"], found
+
+    def test_cpu_heavy_core_attribute_call_is_flagged(self, tmp_path):
+        tree = build_tree(
+            tmp_path,
+            SERVICE_PKG
+            | {
+                "repro/core/api.py": CORE_API,
+                "repro/service/worker.py": """\
+                from repro.core import api
+
+                async def tick():
+                    api.plan(3)
                 """,
             },
         )
@@ -759,12 +783,12 @@ class TestP6AsyncBlocking:
             tmp_path,
             SERVICE_PKG
             | {
-                "repro/core/planner.py": "def dp_plan(n):\n    return n\n",
+                "repro/core/api.py": CORE_API,
                 "repro/service/worker.py": """\
-                from repro.core.planner import dp_plan
+                from repro.core.api import estimate
 
                 async def tick():
-                    dp_plan(3)  # event-loop-safe: tiny grid, sub-ms
+                    estimate(3)  # event-loop-safe: tiny grid, sub-ms
                 """,
             },
         )
@@ -775,12 +799,12 @@ class TestP6AsyncBlocking:
             tmp_path,
             SERVICE_PKG
             | {
-                "repro/core/planner.py": "def dp_plan(n):\n    return n\n",
+                "repro/core/api.py": CORE_API,
                 "repro/service/worker.py": """\
-                from repro.core.planner import dp_plan
+                from repro.core.api import estimate
 
                 async def tick():
-                    dp_plan(3)  # event-loop-safe:
+                    estimate(3)  # event-loop-safe:
                 """,
             },
         )
@@ -792,13 +816,13 @@ class TestP6AsyncBlocking:
             tmp_path,
             SERVICE_PKG
             | {
-                "repro/core/planner.py": "def dp_plan(n):\n    return n\n",
+                "repro/core/api.py": CORE_API,
                 "repro/service/worker.py": """\
-                from repro.core.planner import dp_plan
+                from repro.core.api import estimate
 
                 async def tick():
                     # event-loop-safe: tiny grid, sub-ms
-                    dp_plan(3)
+                    estimate(3)
                 """,
             },
         )

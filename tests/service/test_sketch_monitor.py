@@ -1,17 +1,18 @@
 """Sketch-backed saturation monitor: a verdict-preserving drop-in.
 
 The exact monitor answers "is this replica saturated?" from a per-event
-deque; the sketch monitor answers the same question from fixed-memory
-epoch sketches and additionally names the top talkers.  These tests pin
-the drop-in contract under a fake clock, and the backend/report wiring
-that turns attribution into coordinator evidence.
+deque; the sketch monitor, which every replica backend runs, answers the
+same question from fixed-memory epoch sketches and additionally names
+the top talkers.  These tests pin the drop-in contract against the exact
+reference under a fake clock, and the backend/report wiring that turns
+attribution into coordinator evidence.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.service import ReplicaBackend, SaturationMonitor, ServiceConfig
+from repro.service import ReplicaBackend, SaturationMonitor
 from repro.service.tokens import SketchSaturationMonitor
 
 
@@ -101,34 +102,15 @@ class TestAttribution:
             )
 
 
-def _sketch_config(config: ServiceConfig) -> ServiceConfig:
-    return ServiceConfig(
-        n_replicas=config.n_replicas,
-        telemetry_port=None,
-        bucket_rate=config.bucket_rate,
-        bucket_burst=config.bucket_burst,
-        saturation_window=config.saturation_window,
-        overload_ratio=config.overload_ratio,
-        min_window_events=config.min_window_events,
-        detection_interval=config.detection_interval,
-        detection_confirmations=config.detection_confirmations,
-        seed=config.seed,
-        detector="sketch",
-    )
-
-
 class TestBackendWiring:
-    def test_exact_mode_has_no_report(self, config, clock):
+    def test_backend_runs_the_sketch_detector(self, config, clock):
         backend = ReplicaBackend(config, "r-1", clock=clock)
-        assert isinstance(backend.monitor, SaturationMonitor)
-        assert backend.heavy_hitter_report() is None
-        assert "heavy_hitters" not in backend.snapshot()
+        assert isinstance(backend.monitor, SketchSaturationMonitor)
+        assert backend.heavy_hitter_report().top == ()
+        assert backend.snapshot()["heavy_hitters"] == []
 
     def test_sketch_mode_reports_who_is_hammering(self, config, clock):
-        backend = ReplicaBackend(
-            _sketch_config(config), "r-1", clock=clock
-        )
-        assert isinstance(backend.monitor, SketchSaturationMonitor)
+        backend = ReplicaBackend(config, "r-1", clock=clock)
         backend.admit("bot-0")
         for seq in range(40):
             backend._respond(["REQ", "bot-0", str(seq)])
@@ -141,15 +123,19 @@ class TestBackendWiring:
         assert report.top and report.top[0].key == "bot-0"
         assert report.suspects(min_share=0.5) == ["bot-0"]
 
-        snap = backend.snapshot()
-        assert snap["detector"] == "sketch"
-        assert snap["heavy_hitters"][0][0] == "bot-0"
+        assert backend.snapshot()["heavy_hitters"][0][0] == "bot-0"
 
     def test_sketch_mode_matches_exact_attack_verdict(self, config, clock):
+        # The exact monitor is the reference: wire it into one backend
+        # in place of the sketch every backend builds.
         exact = ReplicaBackend(config, "r-1", clock=clock)
-        sketch = ReplicaBackend(
-            _sketch_config(config), "r-2", clock=clock
+        exact.monitor = SaturationMonitor(
+            window=config.saturation_window,
+            overload_ratio=config.overload_ratio,
+            min_events=config.min_window_events,
+            clock=clock,
         )
+        sketch = ReplicaBackend(config, "r-2", clock=clock)
         for backend in (exact, sketch):
             backend.admit("u-1")
             backend.admit("bot-0")

@@ -10,9 +10,10 @@ import pytest
 from repro.obs import (
     MetricsRegistry,
     PROMETHEUS_CONTENT_TYPE,
+    export_json,
     render_prometheus,
 )
-from repro.service import TelemetryServer, export_snapshot, export_windows
+from repro.service import TelemetryServer, export_windows
 from repro.sim.qos import QoSWindow
 
 
@@ -123,9 +124,8 @@ def test_non_metrics_path_still_serves_json_snapshot():
     assert json.loads(body) == {"ok": True}
 
 
-def test_export_snapshot_round_trips_with_deprecation(tmp_path):
-    with pytest.warns(DeprecationWarning, match="repro.obs.export_json"):
-        target = export_snapshot({"b": 2, "a": [1]}, tmp_path / "snap.json")
+def test_export_json_round_trips_a_snapshot(tmp_path):
+    target = export_json({"b": 2, "a": [1]}, tmp_path / "snap.json")
     assert json.loads(target.read_text()) == {"a": [1], "b": 2}
 
 

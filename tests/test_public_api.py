@@ -54,17 +54,47 @@ def test_every_submodule_imports():
         importlib.import_module(info.name)
 
 
+#: Deprecated entry points that were removed; none may come back.
+REMOVED_NAMES = (
+    "estimate_bots_mle",
+    "estimate_bots_moment",
+    "estimate_bots_weighted",
+    "greedy_plan",
+    "even_plan",
+    "dp_plan",
+    "dp_fast_plan",
+    "Tracer",
+    "TraceEvent",
+    "export_snapshot",
+)
+
+
+@pytest.mark.parametrize(
+    "package_name", ["repro", "repro.core", "repro.cloudsim", "repro.service"]
+)
+def test_removed_names_stay_removed(package_name):
+    module = importlib.import_module(package_name)
+    for name in REMOVED_NAMES:
+        assert not hasattr(module, name), f"{package_name}.{name} is back"
+
+
+def test_cloudsim_trace_module_is_gone():
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.cloudsim.trace")
+
+
 def test_version_present():
     assert repro.__version__
 
 
 def test_quickstart_snippet_from_readme():
     """The README's quickstart code must actually run."""
-    from repro import ShuffleEngine, dp_fast_plan, greedy_plan
+    from repro import PlanRequest, ShuffleEngine, plan
 
-    plan = greedy_plan(n_clients=1000, n_bots=200, n_replicas=100)
-    assert "greedy" in plan.describe()
-    assert dp_fast_plan(1000, 200, 100).expected_saved > 0
+    shuffle = plan(PlanRequest(n_clients=1000, n_bots=200, n_replicas=100))
+    assert "greedy" in shuffle.describe()
+    optimal = plan(PlanRequest(1000, 200, 100, method="dp_fast"))
+    assert optimal.expected_saved > 0
 
     engine = ShuffleEngine(
         n_replicas=100, planner="greedy", estimator="moment"

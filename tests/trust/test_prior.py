@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.estimator import estimate_bots_mle, estimate_bots_weighted
+from repro.core import EstimateRequest, api
 from repro.trust import TrustConfig, TrustManager, bot_count_log_prior
 
 
@@ -46,56 +46,64 @@ class TestEstimatorIntegration:
         """log_prior=None must leave the historical pure-MLE path
         untouched — the trust-disabled service depends on it."""
         for n_attacked in (1, 3, 6):
-            base = estimate_bots_mle(
-                n_attacked=n_attacked, n_replicas=10, upper_bound=120
-            )
-            with_none = estimate_bots_mle(
+            base = api.estimate(EstimateRequest(
                 n_attacked=n_attacked, n_replicas=10, upper_bound=120,
-                log_prior=None,
-            )
+                method="mle",
+            ))
+            with_none = api.estimate(EstimateRequest(
+                n_attacked=n_attacked, n_replicas=10, upper_bound=120,
+                log_prior=None, method="mle",
+            ))
             assert with_none == base
 
     def test_flat_prior_does_not_move_the_mle(self):
         flat = np.zeros(121)
-        base = estimate_bots_mle(
-            n_attacked=4, n_replicas=10, upper_bound=120
-        )
-        shaped = estimate_bots_mle(
-            n_attacked=4, n_replicas=10, upper_bound=120, log_prior=flat
-        )
+        base = api.estimate(EstimateRequest(
+            n_attacked=4, n_replicas=10, upper_bound=120,
+            method="mle",
+        ))
+        shaped = api.estimate(EstimateRequest(
+            n_attacked=4, n_replicas=10, upper_bound=120, log_prior=flat,
+            method="mle",
+        ))
         assert shaped.m_hat == base.m_hat
 
     def test_strong_prior_pulls_map_toward_expectation(self):
-        base = estimate_bots_mle(
-            n_attacked=4, n_replicas=10, upper_bound=120
-        )
+        base = api.estimate(EstimateRequest(
+            n_attacked=4, n_replicas=10, upper_bound=120,
+            method="mle",
+        ))
         expected = float(base.m_hat + 30)
         prior = bot_count_log_prior(
             upper=120, expected=expected, strength=40.0
         )
-        pulled = estimate_bots_mle(
-            n_attacked=4, n_replicas=10, upper_bound=120, log_prior=prior
-        )
+        pulled = api.estimate(EstimateRequest(
+            n_attacked=4, n_replicas=10, upper_bound=120, log_prior=prior,
+            method="mle",
+        ))
         assert base.m_hat < pulled.m_hat <= expected + 1
 
     def test_weighted_estimator_accepts_prior(self):
         sizes = [22, 20, 19, 21, 20, 18, 20, 20, 20, 20]
-        base = estimate_bots_weighted(
-            n_attacked=3, sizes=sizes, n_clients=200
-        )
+        base = api.estimate(EstimateRequest(
+            n_attacked=3, sizes=sizes, n_clients=200,
+            method="weighted",
+        ))
         prior = bot_count_log_prior(
             upper=200, expected=float(base.m_hat + 40), strength=30.0
         )
-        pulled = estimate_bots_weighted(
-            n_attacked=3, sizes=sizes, n_clients=200, log_prior=prior
-        )
+        pulled = api.estimate(EstimateRequest(
+            n_attacked=3, sizes=sizes, n_clients=200, log_prior=prior,
+            method="weighted",
+        ))
         assert pulled.m_hat >= base.m_hat
 
     def test_degenerate_all_attacked_ignores_prior(self):
         prior = bot_count_log_prior(upper=40, expected=2.0, strength=50.0)
-        estimate = estimate_bots_mle(
-            n_attacked=8, n_replicas=8, upper_bound=40, log_prior=prior
-        )
+        estimate = api.estimate(EstimateRequest(
+            n_attacked=8, n_replicas=8, upper_bound=40, log_prior=prior,
+            method="mle",
+        ))
         assert estimate.degenerate
         assert estimate.m_hat == 40  # Theorem 1 collapse, prior unused
 
