@@ -6,13 +6,17 @@ sequence)``-ordered callbacks on a binary heap.  Everything in
 requests, WebSocket pushes, replica boot-ups, bot floods — is scheduled
 through one :class:`Simulator` instance, which makes causality trivially
 auditable (tests assert the clock never runs backwards).
+
+Heap entries are ``(time, seq, event)`` tuples, so every sift compares
+two floats (and, on a tie, two ints) in C rather than calling a Python
+``__lt__``; ``seq`` is unique, so the comparison never reaches the
+:class:`Event` itself.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = ["Event", "Simulator", "SimulationError"]
@@ -22,19 +26,35 @@ class SimulationError(RuntimeError):
     """Raised on scheduling misuse (negative delays, running twice, ...)."""
 
 
-@dataclass(order=True)
 class Event:
     """A scheduled callback.
 
-    Ordering is by ``(time, seq)``; the monotonically increasing sequence
-    number makes simultaneous events FIFO and the heap ordering total.
+    Ordering lives in the heap entry ``(time, seq, event)``; the
+    monotonically increasing sequence number makes simultaneous events
+    FIFO and the heap ordering total.
     """
 
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "seq", "action", "label", "cancelled")
+
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        action: Callable[[], None],
+        label: str = "",
+        cancelled: bool = False,
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.action = action
+        self.label = label
+        self.cancelled = cancelled
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, seq={self.seq!r}, "
+            f"label={self.label!r}, cancelled={self.cancelled!r})"
+        )
 
     def cancel(self) -> None:
         """Prevent the event from firing (it stays in the heap, inert)."""
@@ -52,7 +72,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self.now: float = 0.0
         self._events_processed = 0
@@ -77,13 +97,10 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay}")
-        event = Event(
-            time=self.now + delay,
-            seq=next(self._seq),
-            action=action,
-            label=label,
-        )
-        heapq.heappush(self._queue, event)
+        time = self.now + delay
+        seq = next(self._seq)
+        event = Event(time, seq, action, label)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_at(
@@ -102,29 +119,34 @@ class Simulator:
             end_time: absolute simulation time to stop at; the clock is
                 advanced to exactly ``end_time`` when the queue drains or
                 the next event lies beyond it.
-            max_events: optional hard cap, a guard against accidental
-                event storms in tests.
+            max_events: optional hard cap on the events this call
+                runs, a guard against accidental event storms in tests.
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
+        queue = self._queue
+        pop = heapq.heappop
+        limit = (
+            self._events_processed + max_events
+            if max_events is not None
+            else float("inf")
+        )
         try:
-            budget = max_events if max_events is not None else float("inf")
-            while self._queue and self._events_processed < budget:
-                event = self._queue[0]
-                if event.time > end_time:
+            while queue and self._events_processed < limit:
+                if queue[0][0] > end_time:
                     break
-                heapq.heappop(self._queue)
+                time, _, event = pop(queue)
                 if event.cancelled:
                     continue
-                if event.time < self.now:
+                if time < self.now:
                     raise SimulationError(
-                        f"time went backwards: {event.time} < {self.now}"
+                        f"time went backwards: {time} < {self.now}"
                     )
-                self.now = event.time
+                self.now = time
                 self._events_processed += 1
                 event.action()
-            if max_events is not None and self._events_processed >= budget:
+            if max_events is not None and self._events_processed >= limit:
                 raise SimulationError(
                     f"exceeded max_events={max_events} "
                     f"(simulation runaway at t={self.now:.3f})"

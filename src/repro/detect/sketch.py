@@ -25,6 +25,15 @@ service, the DES), and the vectorized :meth:`~CountMinSketch.add_batch`
 for the saturating hot path, where a numpy batch of pre-computed key
 digests is folded in one ``np.maximum.at`` pass — the difference the
 detection benchmark measures.
+
+The scalar path does no numpy-scalar work per request.  The row-hash
+coefficients are converted to Python ints once, at construction, so a
+key's row indices are plain integer arithmetic; counters are read with
+``ndarray.item`` (a Python int, no ``np.uint64`` boxing) and written
+back as Python ints.  The counter matrix itself stays a ``uint64``
+array, so the batch path, merging and serialization see the same bytes
+either way.  :meth:`~CountMinSketch.add_digest` returns the key's
+post-update estimate, which callers use instead of a second query.
 """
 
 from __future__ import annotations
@@ -73,7 +82,7 @@ class CountMinSketch:
     """
 
     __slots__ = ("width", "depth", "seed", "conservative", "counts",
-                 "total", "_a", "_b")
+                 "total", "_a", "_b", "_coeffs")
 
     def __init__(
         self,
@@ -98,6 +107,8 @@ class CountMinSketch:
         )
         self._a = state[:depth] | np.uint64(1)  # odd multipliers
         self._b = state[depth:]
+        # The same coefficients as python ints, for the scalar path.
+        self._coeffs = tuple(zip(self._a.tolist(), self._b.tolist()))
 
     # ------------------------------------------------------------------
     # hashing
@@ -111,9 +122,10 @@ class CountMinSketch:
         digests equal mod ``width`` would then collide in every row at
         once, destroying the rows' independence.
         """
+        width = self.width
         return [
-            (((int(a) * digest + int(b)) & _MASK64) >> 32) % self.width
-            for a, b in zip(self._a, self._b)
+            (((a * digest + b) & _MASK64) >> 32) % width
+            for a, b in self._coeffs
         ]
 
     def _index_matrix(self, digests: np.ndarray) -> np.ndarray:
@@ -134,22 +146,28 @@ class CountMinSketch:
         return self.add_digest(key_digest(key), count)
 
     def add_digest(self, digest: int, count: int = 1) -> int:
-        """Scalar update by pre-computed digest (hot-path form)."""
+        """Scalar update by pre-computed digest (hot-path form).
+
+        Returns the key's post-update estimate, equal to
+        :meth:`estimate_digest` right after the update.
+        """
         if count < 0:
             raise ValueError("count must be >= 0")
         rows = range(self.depth)
         idx = self._indices(digest)
+        counts = self.counts
+        current = list(map(counts.item, rows, idx))
         self.total += count
         if self.conservative:
-            estimate = min(int(self.counts[i, idx[i]]) for i in rows)
-            target = np.uint64(estimate + count)
+            target = min(current) + count
             for i in rows:
-                if self.counts[i, idx[i]] < target:
-                    self.counts[i, idx[i]] = target
-            return int(target)
+                if current[i] < target:
+                    counts[i, idx[i]] = target
+            return target
+        updated = [(value + count) & _MASK64 for value in current]
         for i in rows:
-            self.counts[i, idx[i]] += np.uint64(count)
-        return min(int(self.counts[i, idx[i]]) for i in rows)
+            counts[i, idx[i]] = updated[i]
+        return min(updated)
 
     def add_batch(
         self, digests: np.ndarray, counts: np.ndarray | None = None
@@ -206,9 +224,8 @@ class CountMinSketch:
         return self.estimate_digest(key_digest(key))
 
     def estimate_digest(self, digest: int) -> int:
-        idx = self._indices(digest)
         return min(
-            int(self.counts[i, idx[i]]) for i in range(self.depth)
+            map(self.counts.item, range(self.depth), self._indices(digest))
         )
 
     def estimate_batch(self, digests: np.ndarray) -> np.ndarray:

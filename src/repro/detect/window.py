@@ -135,12 +135,11 @@ class SketchWindow:
         if digest is None:
             assert key is not None
             digest = key_digest(key)
-        cell.sketch.add_digest(digest, count)
+        estimate = cell.sketch.add_digest(digest, count)
         if key is not None:
             # Promote only when the sketch already ranks the key at
             # heavy-hitter mass — the summary then tracks talkers, not
             # the benign long tail.
-            estimate = cell.sketch.estimate_digest(digest)
             threshold = cell.sketch.total / self.params.top_k
             if estimate >= threshold:
                 cell.hitters.add(key, count)

@@ -95,6 +95,63 @@ class TestRunControl:
         with pytest.raises(SimulationError, match="max_events"):
             sim.run_until(1e9, max_events=100)
 
+    def test_max_events_budget_is_per_call(self):
+        """A later call's cap counts only that call's events."""
+        sim = Simulator()
+        log = []
+        for _ in range(5):
+            sim.schedule(1.0, lambda: log.append("early"))
+        sim.run_until(10.0)
+        sim.schedule(1.0, lambda: log.append("late"))
+        sim.run_until(20.0, max_events=3)
+        assert log == ["early"] * 5 + ["late"]
+        assert sim.events_processed == 6
+
+    def test_max_events_still_stops_a_later_storm(self):
+        sim = Simulator()
+        for _ in range(50):
+            sim.schedule(1.0, lambda: None)
+        sim.run_until(10.0)
+
+        def storm():
+            sim.schedule(0.001, storm)
+
+        sim.schedule(0.001, storm)
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run_until(1e9, max_events=100)
+        assert sim.events_processed == 150
+
+    def test_simultaneous_events_fifo_around_tombstones(self):
+        sim = Simulator()
+        log = []
+        events = [
+            sim.schedule(1.0, lambda n=n: log.append(n), label=f"e{n}")
+            for n in range(8)
+        ]
+        for n in (0, 3, 4, 7):
+            events[n].cancel()
+        late = sim.schedule(5.0, lambda: log.append("late"))
+        late.cancel()
+        assert sim.pending_events == 9  # tombstones still count
+        sim.run_until(0.5)
+        assert log == [] and sim.pending_events == 9
+        sim.run_until(2.0)
+        assert log == [1, 2, 5, 6]
+        assert sim.events_processed == 4
+        assert sim.pending_events == 1  # the cancelled t=5 event
+        sim.run()
+        assert log == [1, 2, 5, 6]
+        assert sim.pending_events == 0
+
+    def test_event_handle_fields(self):
+        sim = Simulator()
+        first = sim.schedule(2.0, lambda: None, label="a")
+        second = sim.schedule_at(2.0, lambda: None)
+        assert (first.time, first.label, first.cancelled) == (2.0, "a", False)
+        assert second.seq > first.seq and second.label == ""
+        first.cancel()
+        assert first.cancelled
+
     def test_events_processed_counter(self):
         sim = Simulator()
         for _ in range(5):

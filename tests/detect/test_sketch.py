@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.detect import CountMinSketch, key_digest, key_digests
+from sketch_reference import reference_add_digest, reference_estimate_digest
 
 # A stream is a list of (key-index, count) pairs; small key spaces force
 # collisions, large counts exercise the weighted paths.
@@ -153,6 +154,41 @@ class TestBatchPath:
         assert out.size == 0
         assert sketch.total == 0
         assert sketch.estimate_batch(np.zeros(0, dtype=np.uint64)).size == 0
+
+
+# Digest streams for the scalar oracle: small digests repeat (and, in a
+# narrow sketch, collide), full-range ones exercise the 64-bit hashing;
+# zero counts hit the no-op update.
+digest_streams = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 40), st.integers(0, 2**64 - 1)),
+        st.integers(0, 50),
+    ),
+    min_size=1, max_size=200,
+)
+
+
+class TestScalarOracle:
+    """The Python-int scalar path against the frozen numpy-indexed one."""
+
+    @given(digest_streams, st.booleans())
+    def test_scalar_path_matches_reference(self, stream, conservative):
+        sketch = CountMinSketch(width=16, depth=4, conservative=conservative)
+        reference = CountMinSketch(
+            width=16, depth=4, conservative=conservative
+        )
+        for digest, count in stream:
+            got = sketch.add_digest(digest, count)
+            assert type(got) is int
+            assert got == reference_add_digest(reference, digest, count)
+            # The returned estimate is the post-update query.
+            assert got == sketch.estimate_digest(digest)
+        assert sketch.counts.dtype == np.uint64
+        assert sketch.to_bytes() == reference.to_bytes()
+        for digest, _ in stream:
+            assert sketch.estimate_digest(digest) == (
+                reference_estimate_digest(reference, digest)
+            )
 
 
 class TestMerge:

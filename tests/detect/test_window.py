@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.detect import SketchParams, SketchWindow, key_digests
+from repro.detect import SketchParams, SketchWindow, key_digest, key_digests
+from sketch_reference import reference_record
 
 
 def _window(window: float = 1.0, epochs: int = 4) -> SketchWindow:
@@ -110,6 +113,43 @@ class TestHeavyHitters:
         window.record_batch(0.1, digests, throttled=10)
         assert window.counts(0.1) == (50, 10)
         assert window.heavy_hitters(0.1) == []
+
+
+# A record stream: (epoch-step advance, admitted, key index, count).
+# Key index -1 records tallies only, -2 a bare digest without a key;
+# small key spaces and a narrow top-k force collisions and evictions.
+record_streams = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.booleans(),
+        st.integers(-2, 12),
+        st.integers(1, 30),
+    ),
+    min_size=1, max_size=150,
+)
+
+
+class TestScalarOracle:
+    @given(record_streams)
+    def test_record_matches_reference(self, stream):
+        params = SketchParams(epsilon=0.2, delta=0.1, top_k=4)
+        window = SketchWindow(1.0, params=params, epochs=4)
+        reference = SketchWindow(1.0, params=params, epochs=4)
+        now = 0.0
+        for step, admitted, index, count in stream:
+            now += step * 0.1
+            key = f"c-{index}" if index >= 0 else None
+            digest = key_digest("bare") if index == -2 else None
+            window.record(now, admitted, key=key, digest=digest, count=count)
+            reference_record(
+                reference, now, admitted, key=key, digest=digest,
+                count=count,
+            )
+        assert window.counts(now) == reference.counts(now)
+        assert window.heavy_hitters(now) == reference.heavy_hitters(now)
+        for cell, ref_cell in zip(window._cells, reference._cells):
+            assert cell.epoch == ref_cell.epoch
+            assert cell.sketch.to_bytes() == ref_cell.sketch.to_bytes()
 
 
 class TestStateAndValidation:
